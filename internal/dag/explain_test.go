@@ -232,6 +232,38 @@ func TestExplainGoldenBudgetedSample(t *testing.T) {
 	}
 }
 
+// A scan the pushdown pass filtered must not be cached under the key of the
+// unfiltered scan: two fresh executors sharing one cache each run
+// LoadTable → KeepRows with a different range, and the second must see its
+// own range, not the first one's filtered rows.
+func TestPushdownScanNotCachedUnderUnfilteredKey(t *testing.T) {
+	ctx := newCtx(t)
+	ctx.Cloud["wh"] = costDB(t, 4000)
+	cache := NewCache(DefaultCacheCapacity)
+	for _, tc := range []struct {
+		cond string
+		want int
+	}{
+		{"amount >= 100 AND amount < 200", 800},
+		{"amount >= 300 AND amount < 450", 1200},
+	} {
+		ex := NewExecutor(reg, ctx)
+		ex.SetCache(cache)
+		g := NewGraph()
+		g.Add(skills.Invocation{Skill: "LoadTable", Inputs: nil,
+			Args: skills.Args{"database": "wh", "table": "orders"}, Output: "orders"})
+		last := g.Add(skills.Invocation{Skill: "KeepRows", Inputs: []string{"orders"},
+			Args: skills.Args{"condition": tc.cond}, Output: "kept"})
+		res, err := ex.Run(g, last)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.cond, err)
+		}
+		if got := res.Table.NumRows(); got != tc.want {
+			t.Fatalf("%s: %d rows, want %d", tc.cond, got, tc.want)
+		}
+	}
+}
+
 // costDB builds a small warehouse whose catalog stats seed the cost model.
 func costDB(t *testing.T, rows int) *cloud.Database {
 	t.Helper()

@@ -357,6 +357,11 @@ func (pushdownPass) Run(p *Plan, env *Env, t *PassTrace) error {
 		}
 		args[param] = value
 		scan.Args = args
+		// The fingerprint pass keyed the scan by its unfiltered result; a
+		// filtered scan stored under that key would serve the next request
+		// another consumer's rows. The rewritten scan stays uncached. The
+		// consumer's key still names its result, which pushdown never changes.
+		scan.Key = ""
 		scan.Pushdown = append(scan.Pushdown, param)
 		t.Pushdowns++
 		t.Detail = append(t.Detail, fmt.Sprintf("%s into %s#%d from %s#%d",

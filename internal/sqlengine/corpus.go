@@ -191,7 +191,8 @@ func CorpusQueries(rng *rand.Rand, count int) []string {
 		}
 	}
 	// Fixed regression queries: string-keyed joins, alias ORDER BY against
-	// source columns, fold-insensitive ORDER BY names, empty-input grouping.
+	// source columns, fold-insensitive ORDER BY names, empty-input grouping,
+	// and the LIMIT/DISTINCT shapes that stream on one worker or end grouped.
 	qs = append(qs,
 		"SELECT t1.s, t2.s2 FROM t1 JOIN t2 ON t1.s = t2.s2 ORDER BY t1.s, t2.s2 LIMIT 60",
 		"SELECT i AS I2, f FROM t1 ORDER BY i2 DESC, F LIMIT 30",
@@ -200,6 +201,10 @@ func CorpusQueries(rng *rand.Rand, count int) []string {
 		"SELECT i / 0 AS z, i % 0 AS m FROM t1 ORDER BY i LIMIT 10",
 		"SELECT f FROM t1 WHERE f / 0 > 1",
 		"SELECT b, MIN(b) AS mn, MAX(b) AS mx, SUM(b) AS sb FROM t1 GROUP BY b ORDER BY b",
+		"SELECT i, s FROM t1 WHERE i > 3 LIMIT 25",
+		"SELECT DISTINCT s, b FROM t1 LIMIT 7",
+		"SELECT i, COUNT(*) AS c FROM t1 GROUP BY i LIMIT 5 OFFSET 3",
+		"SELECT DISTINCT COUNT(*) AS c FROM t1 GROUP BY s",
 	)
 	return qs
 }

@@ -19,14 +19,15 @@ import (
 // runs, group states, join build sides, DISTINCT seen-sets) buffer rows under
 // an explicit budget. A sort or group-by partition that overflows the budget
 // spills runs to disk and merges them streaming (spill.go); operators that
-// cannot spill fail loudly with a typed BudgetError. With Parallelism > 1 a
-// morsel dispatcher (stream_parallel.go) fans chunks out to worker-pinned
-// pipelines with order-preserving reassembly, so the parallel stream emits
-// exactly the serial chunk sequence. Statements the pipeline cannot stream
-// exactly fall back to whole-statement materialized execution re-chunked on
-// the way out, so ExecStream always produces the same rows, in the same
-// order, as the row-at-a-time reference path — the differential harness pins
-// both.
+// cannot spill fail loudly with a typed BudgetError. Every operator runs
+// behind the morsel dispatcher (stream_parallel.go), which fans chunks out to
+// worker-pinned pipelines with order-preserving reassembly; the worker count
+// is a parameter, and at one worker the dispatcher runs inline, so every
+// Parallelism emits the same chunk sequence. Statements the pipeline cannot
+// stream exactly fall back to whole-statement materialized execution
+// re-chunked on the way out, so ExecStream always produces the same rows, in
+// the same order, as the row-at-a-time reference path (exec.go) — the
+// differential harness pins both.
 
 // DefaultChunkRows is the morsel size when StreamOptions.ChunkRows is unset.
 const DefaultChunkRows = 1024
@@ -47,9 +48,11 @@ type StreamOptions struct {
 	MaxBufferedRows int
 
 	// Parallelism is the number of pipeline workers morsels are fanned out
-	// to. 0 means serial (the oracle path every differential test pins
-	// against), a negative value means GOMAXPROCS, and values > 1 enable
-	// the parallel dispatcher with order-preserving reassembly.
+	// to: 0 or 1 means one worker, a negative value means GOMAXPROCS. Every
+	// worker count runs the same operators and emits the same chunk
+	// sequence; the row executor, not any worker count, is the oracle the
+	// differential tests pin against. Shapes that stop early (a LIMIT with
+	// no pipeline breaker, DISTINCT+LIMIT) always run on one worker.
 	Parallelism int
 
 	// SpillDir is where spill runs are written (default: the OS temp dir).
@@ -76,7 +79,7 @@ func (o StreamOptions) chunkRows() int {
 	return DefaultChunkRows
 }
 
-// workers resolves Parallelism: 0 → 1 (serial), negative → GOMAXPROCS.
+// workers resolves Parallelism: 0 → 1, negative → GOMAXPROCS.
 func (o StreamOptions) workers() int {
 	switch {
 	case o.Parallelism == 0:
@@ -103,13 +106,15 @@ func (e *BudgetError) Error() string {
 }
 
 // streamExec carries per-stream execution state: the shared executor (for the
-// helpers both paths use), the buffered-row accounting across operators (one
-// budget shared by every operator and partition, charged under a mutex so
-// concurrent reducers account correctly), spill-file tracking, and the stop
-// functions that tear down parallel workers on close or cancellation.
+// helpers both paths use), the pipeline's worker count, the buffered-row
+// accounting across operators (one budget shared by every operator and
+// partition, charged under a mutex so concurrent reducers account
+// correctly), spill-file tracking, and the stop functions that tear down
+// parallel workers on close or cancellation.
 type streamExec struct {
-	ex   *executor
-	opts StreamOptions
+	ex      *executor
+	opts    StreamOptions
+	workers int // fixed by buildPipeline before any operator is built
 
 	mu       sync.Mutex
 	buffered map[string]int
@@ -178,8 +183,6 @@ func (se *streamExec) forceBuffer(op string, rows int) {
 	}
 	se.mu.Unlock()
 }
-
-func (se *streamExec) workers() int { return se.opts.workers() }
 
 // spillEnabled reports whether budget overflow may go to disk instead of
 // failing. With no budget there is never an overflow to spill.
@@ -369,8 +372,10 @@ func (rs *RowStream) SpillStats() SpillStats {
 	return rs.se.spillStats()
 }
 
-// Workers reports the resolved pipeline worker count.
-func (rs *RowStream) Workers() int { return rs.opts.workers() }
+// Workers reports the worker count the stream's pipeline runs on: the
+// resolved Parallelism, or 1 for early-stopping shapes and for statements
+// that fell back to materialized execution before streaming.
+func (rs *RowStream) Workers() int { return rs.se.workers }
 
 // ReadAll drains the stream into one table. Column types are re-inferred
 // across all chunks the way the reference projection does.
@@ -461,6 +466,7 @@ func ExecStreamStmt(catalog Catalog, stmt *SelectStmt, opts StreamOptions) (*Row
 		return nil, err
 	}
 	if !ok {
+		se.workers = 1 // the materialized fallback runs on the consumer's goroutine
 		rs.needFallback = true
 		rs.fellBack = true
 		return rs, nil
@@ -544,7 +550,7 @@ type filterChunks struct {
 	se     *streamExec
 	in     relChunks
 	where  expr.Expr
-	budget int // total surviving rows to keep; -1 = unlimited
+	budget int // total surviving rows to keep
 	kept   int
 }
 
@@ -552,17 +558,14 @@ func (f *filterChunks) schema() *rel { return f.in.schema() }
 
 func (f *filterChunks) next() (*rel, error) {
 	for {
-		if f.budget >= 0 && f.kept >= f.budget {
+		if f.kept >= f.budget {
 			return nil, nil
 		}
 		c, err := f.in.next()
 		if err != nil || c == nil {
 			return nil, err
 		}
-		rem := -1
-		if f.budget >= 0 {
-			rem = f.budget - f.kept
-		}
+		rem := f.budget - f.kept
 		keep, vectorized, err := f.se.ex.vecFilter(f.where, c, rem)
 		if err != nil {
 			return nil, err
@@ -576,7 +579,7 @@ func (f *filterChunks) next() (*rel, error) {
 				}
 				if ok {
 					keep = append(keep, i)
-					if rem >= 0 && len(keep) >= rem {
+					if len(keep) >= rem {
 						break
 					}
 				}
@@ -707,7 +710,7 @@ func (se *streamExec) newJoinChunks(j *Join) (*joinChunks, error) {
 		}
 		jc.unmatched = &rel{cols: cols, quals: ls.quals}
 	}
-	jc.pipe = newParallelPipe(se.workers(), 2*se.workers(),
+	jc.pipe = newParallelPipe(se.workers, 2*se.workers,
 		func() (*rel, bool, error) {
 			c, err := jc.left.next()
 			return c, c != nil, err
@@ -724,7 +727,7 @@ func (se *streamExec) newJoinChunks(j *Join) (*joinChunks, error) {
 // ascending right-row order — the order the serial build produces.
 func (jc *joinChunks) buildHashTable() {
 	n := jc.right.numRows()
-	w := jc.se.workers()
+	w := jc.se.workers
 	if w > n {
 		w = 1
 	}
@@ -902,6 +905,15 @@ func (se *streamExec) buildPipeline(stmt *SelectStmt) (func() (*dataset.Table, e
 		}
 	}
 
+	// A shape that stops early — LIMIT with no pipeline breaker, or
+	// DISTINCT+LIMIT — runs on one worker, so no morsel is evaluated ahead
+	// of the consumer: the stream stops where the reference path stops.
+	earlyStop := !grouped && len(stmt.OrderBy) == 0 && stmt.Limit >= 0
+	se.workers = 1
+	if !earlyStop {
+		se.workers = se.opts.workers()
+	}
+
 	src, err := se.sourceChunks(stmt.From)
 	if err != nil {
 		return nil, false, err
@@ -931,51 +943,33 @@ func (se *streamExec) buildPipeline(stmt *SelectStmt) (func() (*dataset.Table, e
 		return nil, false, nil
 	}
 
-	rowBudget := -1
-	if !grouped && len(stmt.OrderBy) == 0 && !stmt.Distinct && stmt.Limit >= 0 {
-		rowBudget = stmt.Offset + stmt.Limit
-	}
-	// Parallel pipelines prefetch chunks ahead of the consumer, so they are
-	// only used when the stream consumes its whole input anyway: a LIMIT
-	// that stops early (rowBudget, or DISTINCT+LIMIT) could otherwise
-	// surface evaluation errors from chunks the serial path never reaches.
-	parallelScan := se.workers() > 1 && rowBudget < 0 && !(stmt.Distinct && stmt.Limit >= 0 && !grouped && len(stmt.OrderBy) == 0)
-	var scanFilter expr.Expr
+	// WHERE runs per morsel inside the operators. Under a LIMIT push-down
+	// budget it runs in filterChunks instead, which stops evaluating rows
+	// mid-chunk once the budget is met, exactly as the materialized scan does.
+	where := stmt.Where
 	var chunks relChunks = src
-	if stmt.Where != nil {
-		if parallelScan {
-			scanFilter = stmt.Where // each worker filters its own morsels
+	if earlyStop && !stmt.Distinct {
+		rowBudget := stmt.Offset + stmt.Limit
+		if where != nil {
+			chunks = &filterChunks{se: se, in: src, where: where, budget: rowBudget}
+			where = nil
 		} else {
-			chunks = &filterChunks{se: se, in: chunks, where: stmt.Where, budget: rowBudget}
+			chunks = &truncChunks{in: src, budget: rowBudget}
 		}
-	} else if rowBudget >= 0 {
-		chunks = &truncChunks{in: chunks, budget: rowBudget}
 	}
 
 	var pull func() (*dataset.Table, error)
 	switch {
 	case grouped:
-		if parallelScan || se.spillEnabled() {
-			pull = se.partitionedGroupedPull(stmt, chunks, scanFilter, aggs, schema)
-		} else {
-			pull = se.groupedPull(stmt, chunks, aggs, schema)
-		}
+		pull = se.partitionedGroupedPull(stmt, chunks, where, aggs, schema)
 	case len(stmt.OrderBy) > 0:
-		pull = se.orderedPull(stmt, chunks, scanFilter, names, exprs, plain, plainIdx, schema)
+		pull = se.orderedPull(stmt, chunks, where, names, exprs, plain, plainIdx, schema)
 	default:
-		if parallelScan {
-			pull = se.parallelProjectPull(chunks, scanFilter, names, exprs, plain, plainIdx)
-		} else {
-			pull = se.projectPull(chunks, names, exprs, plain, plainIdx)
-		}
+		pull = se.parallelProjectPull(chunks, where, names, exprs, plain, plainIdx)
 	}
 	if !grouped {
 		if stmt.Distinct {
-			if parallelScan {
-				pull = se.parallelDistinctPull(pull)
-			} else {
-				pull = se.distinctPull(pull)
-			}
+			pull = se.parallelDistinctPull(pull)
 		}
 		if stmt.Offset > 0 || stmt.Limit >= 0 {
 			pull = offsetLimitPull(pull, stmt.Offset, stmt.Limit)
@@ -1036,19 +1030,9 @@ func (se *streamExec) projectChunk(c *rel, names []string, exprs []expr.Expr, pl
 	return buildTable("result", builders)
 }
 
-func (se *streamExec) projectPull(chunks relChunks, names []string, exprs []expr.Expr, plain bool, plainIdx []int) func() (*dataset.Table, error) {
-	return func() (*dataset.Table, error) {
-		c, err := chunks.next()
-		if err != nil || c == nil {
-			return nil, err
-		}
-		return se.projectChunk(c, names, exprs, plain, plainIdx)
-	}
-}
-
 // filterRel applies a WHERE predicate to one chunk inside a pipeline worker
-// (no LIMIT budget — parallel scans only run when the whole input is
-// consumed). Returns nil when no row survives.
+// (no LIMIT budget — budgeted scans filter in filterChunks). Returns nil
+// when no row survives.
 func (se *streamExec) filterRel(where expr.Expr, c *rel) (*rel, error) {
 	if where == nil {
 		return c, nil
@@ -1080,9 +1064,9 @@ func (se *streamExec) filterRel(where expr.Expr, c *rel) (*rel, error) {
 
 // parallelProjectPull fans source chunks out to the pipeline workers, each
 // filtering and projecting its own morsels; reassembly preserves chunk
-// order, so the output sequence is exactly the serial one.
+// order, so the output sequence is the same at every worker count.
 func (se *streamExec) parallelProjectPull(chunks relChunks, where expr.Expr, names []string, exprs []expr.Expr, plain bool, plainIdx []int) func() (*dataset.Table, error) {
-	pipe := newParallelPipe(se.workers(), 2*se.workers(),
+	pipe := newParallelPipe(se.workers, 2*se.workers,
 		func() (*rel, bool, error) {
 			c, err := chunks.next()
 			return c, c != nil, err
@@ -1172,7 +1156,7 @@ func (se *streamExec) orderedPull(stmt *SelectStmt, chunks relChunks, where expr
 		r.order = sortIndexes(len(r.vals), stmt.OrderBy, func(row, k int) dataset.Value { return r.keys[row][k] })
 		return r, nil
 	}
-	pipe := newParallelPipe(se.workers(), 2*se.workers(),
+	pipe := newParallelPipe(se.workers, 2*se.workers,
 		func() (*rel, bool, error) {
 			c, err := chunks.next()
 			return c, c != nil, err
@@ -1253,234 +1237,27 @@ func buildValueChunk(names []string, types []dataset.Type, rows [][]dataset.Valu
 	return buildTable("result", builders)
 }
 
-// groupedPull consumes all input chunks into streaming per-group aggregate
-// states (COUNT/SUM/AVG/MIN/MAX, non-distinct — anything else fell back
-// before the pipeline was built), then reuses the shared finishGrouped phase
-// for HAVING, projection, and ORDER BY, re-chunking its output.
-func (se *streamExec) groupedPull(stmt *SelectStmt, chunks relChunks, aggs []*AggCall, schema *rel) func() (*dataset.Table, error) {
-	var emit func() (*dataset.Table, error)
-	return func() (*dataset.Table, error) {
-		if emit == nil {
-			out, err := se.runGrouped(stmt, chunks, aggs, schema)
-			if err != nil {
-				return nil, err
-			}
-			emit = rechunkTable(out, se.opts.chunkRows())
-		}
-		return emit()
-	}
-}
-
 // gState is one group's streaming aggregate state, one slot per AggCall.
 type gState struct {
-	firstRow int // row index into the buffered first-rows relation
-	counts   []int64
-	sums     []float64
-	allInt   []bool
-	best     []dataset.Value
-	hasBest  []bool
+	counts  []int64
+	sums    []float64
+	allInt  []bool
+	best    []dataset.Value
+	hasBest []bool
 }
 
-func newGState(firstRow, naggs int) *gState {
+func newGState(naggs int) *gState {
 	g := &gState{
-		firstRow: firstRow,
-		counts:   make([]int64, naggs),
-		sums:     make([]float64, naggs),
-		allInt:   make([]bool, naggs),
-		best:     make([]dataset.Value, naggs),
-		hasBest:  make([]bool, naggs),
+		counts:  make([]int64, naggs),
+		sums:    make([]float64, naggs),
+		allInt:  make([]bool, naggs),
+		best:    make([]dataset.Value, naggs),
+		hasBest: make([]bool, naggs),
 	}
 	for i := range g.allInt {
 		g.allInt[i] = true
 	}
 	return g
-}
-
-func (se *streamExec) runGrouped(stmt *SelectStmt, chunks relChunks, aggs []*AggCall, schema *rel) (*dataset.Table, error) {
-	// firstRows buffers one representative row per group so finishGrouped can
-	// resolve non-aggregate column references exactly as the materialized
-	// path does against the group's first source row.
-	firstRows := &rel{cols: make([]*dataset.Column, len(schema.cols)), quals: schema.quals}
-	for i, c := range schema.cols {
-		firstRows.cols[i] = dataset.NewColumn(c.Name(), c.Type())
-	}
-	buckets := map[string]*gState{}
-	var order []*gState
-	singleGroup := len(stmt.GroupBy) == 0
-	for {
-		c, err := chunks.next()
-		if err != nil {
-			return nil, err
-		}
-		if c == nil {
-			break
-		}
-		for i := 0; i < c.numRows(); i++ {
-			env := rowEnv{c, i}
-			key := ""
-			if !singleGroup {
-				var kb strings.Builder
-				for _, ge := range stmt.GroupBy {
-					v, err := ge.Eval(env)
-					if err != nil {
-						return nil, err
-					}
-					kb.WriteString(v.Type.String())
-					kb.WriteByte(':')
-					kb.WriteString(v.String())
-					kb.WriteByte('\x00')
-				}
-				key = kb.String()
-			}
-			g, ok := buckets[key]
-			if !ok {
-				g = newGState(len(order), len(aggs))
-				buckets[key] = g
-				order = append(order, g)
-				for ci, col := range firstRows.cols {
-					col.Append(c.cols[ci].Value(i))
-				}
-				if err := se.buffer("group-by", len(order)); err != nil {
-					return nil, err
-				}
-			}
-			for ai, a := range aggs {
-				var v dataset.Value
-				if !a.Star {
-					v, err = a.Arg.Eval(env)
-					if err != nil {
-						return nil, err
-					}
-				}
-				if err := g.accumulate(a, ai, v); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	if singleGroup && len(order) == 0 {
-		// Aggregates over zero rows still produce one output group.
-		order = append(order, newGState(0, len(aggs)))
-	}
-	groups := make([]groupData, len(order))
-	for gi, g := range order {
-		aggVals := make(expr.MapEnv, len(aggs))
-		for ai, a := range aggs {
-			var v dataset.Value
-			switch {
-			case a.Star || a.Name == "COUNT":
-				v = dataset.Int(g.counts[ai])
-			case a.Name == "MIN" || a.Name == "MAX":
-				v = dataset.Null
-				if g.hasBest[ai] {
-					v = g.best[ai]
-				}
-			case a.Name == "SUM":
-				switch {
-				case g.counts[ai] == 0:
-					v = dataset.Null
-				case g.allInt[ai]:
-					v = dataset.Int(int64(g.sums[ai]))
-				default:
-					v = dataset.Float(g.sums[ai])
-				}
-			default: // AVG
-				v = dataset.Null
-				if g.counts[ai] > 0 {
-					v = dataset.Float(g.sums[ai] / float64(g.counts[ai]))
-				}
-			}
-			aggVals[a.Key()] = v
-		}
-		groups[gi] = groupData{firstRow: g.firstRow, aggVals: aggVals}
-	}
-	out, err := se.ex.finishGrouped(stmt, firstRows, groups)
-	if err != nil {
-		return nil, err
-	}
-	if stmt.Distinct {
-		out, err = out.Distinct()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if stmt.Offset > 0 || stmt.Limit >= 0 {
-		from := stmt.Offset
-		to := out.NumRows()
-		if stmt.Limit >= 0 && from+stmt.Limit < to {
-			to = from + stmt.Limit
-		}
-		out = out.Slice(from, to)
-	}
-	return out, nil
-}
-
-// distinctPull drops rows whose rendered row key has been seen, keeping first
-// occurrences across chunks. The seen-set is charged against the budget;
-// overflow hands the remaining input to a distinctSpiller (external dedupe on
-// disk) when spilling is enabled, and fails with the typed BudgetError when
-// it is not.
-func (se *streamExec) distinctPull(in func() (*dataset.Table, error)) func() (*dataset.Table, error) {
-	seen := map[string]bool{}
-	var sp *distinctSpiller
-	var tail func() (*dataset.Table, error)
-	return func() (*dataset.Table, error) {
-		for {
-			if tail != nil {
-				return tail()
-			}
-			t, err := in()
-			if err != nil {
-				return nil, err
-			}
-			if t == nil {
-				if sp == nil {
-					return nil, nil
-				}
-				if tail, err = sp.resolve(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if sp != nil {
-				if err := sp.add(t, nil); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			keep := make([]int, 0, t.NumRows())
-			for r := 0; r < t.NumRows(); r++ {
-				key := streamRowKey(t.Row(r))
-				if !seen[key] {
-					seen[key] = true
-					keep = append(keep, r)
-				}
-			}
-			if err := se.buffer("distinct", len(seen)); err != nil {
-				if !se.spillEnabled() {
-					return nil, err
-				}
-				// This chunk's kept rows are still first occurrences —
-				// emitted below, keys flushed into the emitted run.
-				keys := make([]string, 0, len(seen))
-				for k := range seen {
-					keys = append(keys, k)
-				}
-				if sp, err = newDistinctSpiller(se, "distinct", keys); err != nil {
-					return nil, err
-				}
-				se.forceBuffer("distinct", 0)
-				seen = nil
-			}
-			if len(keep) == t.NumRows() {
-				return t, nil
-			}
-			if len(keep) == 0 {
-				continue
-			}
-			return t.Take(keep), nil
-		}
-	}
 }
 
 // distinctBatch is one chunk with its row keys rendered (and sharded) by a
@@ -1491,20 +1268,21 @@ type distinctBatch struct {
 	shard []uint32
 }
 
-// parallelDistinctPull shards the DISTINCT seen-set by key hash: pipeline
-// workers render row keys per morsel, and per-chunk the shards dedup their
-// own key subspace concurrently into disjoint slots of a keep bitmap. Shard
-// assignment depends only on the key — never the worker count — and chunks
-// are processed in input order, so the kept row set is exactly the serial
-// one. The budget is charged per shard; overflow hands the remaining input
-// to a distinctSpiller like the serial path.
+// parallelDistinctPull shards the DISTINCT seen-set by key hash, one shard
+// per worker: pipeline workers render row keys per morsel, and per-chunk the
+// shards dedup their own key subspace concurrently into disjoint slots of a
+// keep bitmap. A key always lands in the same shard and chunks are processed
+// in input order, so every worker count keeps the first occurrence of each
+// row. The budget is charged per shard; overflow hands the remaining input
+// to a distinctSpiller (external dedupe on disk) when spilling is enabled,
+// and fails with the typed BudgetError when it is not.
 func (se *streamExec) parallelDistinctPull(in func() (*dataset.Table, error)) func() (*dataset.Table, error) {
-	shards := se.workers()
+	shards := se.workers
 	seen := make([]map[string]bool, shards)
 	for i := range seen {
 		seen[i] = map[string]bool{}
 	}
-	pipe := newParallelPipe(se.workers(), 2*se.workers(),
+	pipe := newParallelPipe(se.workers, 2*se.workers,
 		func() (*dataset.Table, bool, error) {
 			t, err := in()
 			return t, t != nil, err
@@ -1548,20 +1326,24 @@ func (se *streamExec) parallelDistinctPull(in func() (*dataset.Table, error)) fu
 			}
 			n := b.t.NumRows()
 			keepBits := make([]bool, n)
+			dedup := func(s int) {
+				m := seen[s]
+				for r := 0; r < n; r++ {
+					if int(b.shard[r]) == s && !m[b.keys[r]] {
+						m[b.keys[r]] = true
+						keepBits[r] = true
+					}
+				}
+			}
 			var wg sync.WaitGroup
-			for s := 0; s < shards; s++ {
+			for s := 1; s < shards; s++ {
 				wg.Add(1)
 				go func(s int) {
 					defer wg.Done()
-					m := seen[s]
-					for r := 0; r < n; r++ {
-						if int(b.shard[r]) == s && !m[b.keys[r]] {
-							m[b.keys[r]] = true
-							keepBits[r] = true
-						}
-					}
+					dedup(s)
 				}(s)
 			}
+			dedup(0)
 			wg.Wait()
 			overflow := false
 			for s := 0; s < shards; s++ {

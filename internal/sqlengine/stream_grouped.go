@@ -16,14 +16,14 @@ import (
 // hash-partition rows; one reducer per partition folds rows into per-group
 // aggregate states, consuming batches in chunk-sequence order so every group
 // accumulates in global row order — float SUM/AVG results are bit-identical
-// to the serial engine. When the states overflow the memory budget a reducer
-// spills rows of *new* keys to a disk run (keys already holding a state keep
-// accumulating in memory), finalizes the pass, writes the finished states to
-// a state run, and replays the spilled rows as the next pass; spilled key
-// sets are disjoint from in-memory ones, so concatenating a partition's
-// passes yields its groups in first-seen order. A final merge across
-// partitions by (chunk, row) of first appearance restores the exact global
-// first-seen order the serial engine produces.
+// to the row executor's computeAgg. When the states overflow the memory
+// budget a reducer spills rows of *new* keys to a disk run (keys already
+// holding a state keep accumulating in memory), finalizes the pass, writes
+// the finished states to a state run, and replays the spilled rows as the
+// next pass; spilled key sets are disjoint from in-memory ones, so
+// concatenating a partition's passes yields its groups in first-seen order.
+// A final merge across partitions by (chunk, row) of first appearance
+// restores the exact global first-seen order the row executor produces.
 
 // appendKeyValue encodes one boxed key cell exactly the way appendGroupKey
 // encodes a vector cell, so boxed and vectorized chunks of the same stream
@@ -325,8 +325,7 @@ func (gs *groupedScan) evalColumn(c *rel, ex expr.Expr, n int) (argCol, error) {
 // finGroup is one finished group: its first appearance (chunk, row), its
 // representative source row, and its finalized aggregate values (indexed by
 // AggCall position). A nil rep marks the synthetic zero-row group of a
-// global aggregate, which buffers no representative row — exactly like the
-// serial path.
+// global aggregate, which buffers no representative row.
 type finGroup struct {
 	seq, row int
 	rep      []dataset.Value
@@ -374,8 +373,8 @@ func newGroupReducer(se *streamExec, id int, aggs []*AggCall) *groupReducer {
 }
 
 // accumulate folds one row's argument into one aggregate slot, mirroring the
-// serial streaming loop exactly (same null handling, same float64 addition
-// order per group, same Compare-based MIN/MAX).
+// row executor's computeAgg exactly (same null handling, same float64
+// addition order per group, same Compare-based MIN/MAX).
 func (g *gState) accumulate(a *AggCall, ai int, v dataset.Value) error {
 	if a.Star {
 		g.counts[ai]++
@@ -411,7 +410,7 @@ func (g *gState) accumulate(a *AggCall, ai int, v dataset.Value) error {
 }
 
 // finishAggValues finalizes one group's aggregate slots, mirroring the
-// serial streaming finalization exactly.
+// row executor's computeAgg results exactly.
 func finishAggValues(g *gState, aggs []*AggCall) []dataset.Value {
 	out := make([]dataset.Value, len(aggs))
 	for ai, a := range aggs {
@@ -542,7 +541,7 @@ func (r *groupReducer) newState(key []byte, seq, row int, rep []dataset.Value) *
 	if k, ok := intGroupKey(key); ok {
 		return r.newIntState(k, seq, row, rep)
 	}
-	g := &pgState{gState: *newGState(0, len(r.aggs)), seq: seq, row: row, rep: rep}
+	g := &pgState{gState: *newGState(len(r.aggs)), seq: seq, row: row, rep: rep}
 	r.states[string(key)] = g
 	r.order = append(r.order, g)
 	r.admitted++
@@ -550,7 +549,7 @@ func (r *groupReducer) newState(key []byte, seq, row int, rep []dataset.Value) *
 }
 
 func (r *groupReducer) newIntState(k int64, seq, row int, rep []dataset.Value) *pgState {
-	g := &pgState{gState: *newGState(0, len(r.aggs)), seq: seq, row: row, rep: rep}
+	g := &pgState{gState: *newGState(len(r.aggs)), seq: seq, row: row, rep: rep}
 	r.ints[k] = g
 	r.order = append(r.order, g)
 	r.admitted++
@@ -746,10 +745,8 @@ func (se *streamExec) partitionedGroupedPull(stmt *SelectStmt, chunks relChunks,
 // runPartitionedGrouped drives the whole engine: scan fan-out, partition
 // reduction, spill passes, and the final merge. It returns a chunk pull.
 func (se *streamExec) runPartitionedGrouped(stmt *SelectStmt, chunks relChunks, filter expr.Expr, aggs []*AggCall, schema *rel) (func() (*dataset.Table, error), error) {
-	workers := se.workers()
-	parts := workers
-	gs := &groupedScan{se: se, stmt: stmt, filter: filter, aggs: aggs, parts: parts}
-	pipe := newParallelPipe(workers, 2*workers,
+	gs := &groupedScan{se: se, stmt: stmt, filter: filter, aggs: aggs, parts: se.workers}
+	pipe := newParallelPipe(se.workers, 2*se.workers,
 		func() (*rel, bool, error) {
 			c, err := chunks.next()
 			return c, c != nil, err
@@ -758,66 +755,45 @@ func (se *streamExec) runPartitionedGrouped(stmt *SelectStmt, chunks relChunks, 
 	)
 	se.onStop(pipe.stop)
 
-	reducers := make([]*groupReducer, parts)
+	reducers := make([]*groupReducer, se.workers)
+	chans := make([]chan *groupedBatch, se.workers)
+	var wg sync.WaitGroup
 	for p := range reducers {
-		reducers[p] = newGroupReducer(se, p, aggs)
+		red := newGroupReducer(se, p, aggs)
+		ch := make(chan *groupedBatch, 4)
+		reducers[p], chans[p] = red, ch
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range ch {
+				if red.err != nil {
+					continue // drain after failure so the distributor never blocks
+				}
+				red.err = red.feed(b)
+			}
+		}()
 	}
-
 	var srcErr error
-	if workers == 1 {
-		red := reducers[0]
-		for {
-			b, ok, err := pipe.next()
-			if err != nil {
-				srcErr = err
-				break
-			}
-			if !ok {
-				break
-			}
-			if err := red.feed(b); err != nil {
-				srcErr = err
-				break
-			}
+	for {
+		b, ok, err := pipe.next()
+		if err != nil {
+			srcErr = err
+			break
 		}
-	} else {
-		chans := make([]chan *groupedBatch, parts)
-		var wg sync.WaitGroup
-		for p, red := range reducers {
-			ch := make(chan *groupedBatch, 4)
-			chans[p] = ch
-			wg.Add(1)
-			go func(red *groupReducer, ch <-chan *groupedBatch) {
-				defer wg.Done()
-				for b := range ch {
-					if red.err != nil {
-						continue // drain after failure so the distributor never blocks
-					}
-					red.err = red.feed(b)
-				}
-			}(red, ch)
+		if !ok {
+			break
 		}
-		for {
-			b, ok, err := pipe.next()
-			if err != nil {
-				srcErr = err
-				break
+		for p, ch := range chans {
+			if b.rows != nil && len(b.rows[p]) == 0 {
+				continue // no rows for this partition in the batch
 			}
-			if !ok {
-				break
-			}
-			for p, ch := range chans {
-				if b.rows != nil && len(b.rows[p]) == 0 {
-					continue // no rows for this partition in the batch
-				}
-				ch <- b
-			}
+			ch <- b
 		}
-		for _, ch := range chans {
-			close(ch)
-		}
-		wg.Wait()
 	}
+	for _, ch := range chans {
+		close(ch)
+	}
+	wg.Wait()
 	if srcErr != nil {
 		return nil, srcErr
 	}
@@ -826,25 +802,18 @@ func (se *streamExec) runPartitionedGrouped(stmt *SelectStmt, chunks relChunks, 
 			return nil, red.err
 		}
 	}
-	// Spill passes run per-reducer; concurrently when parallel.
-	if workers == 1 {
-		if err := reducers[0].finish(); err != nil {
-			return nil, err
-		}
-	} else {
-		var wg sync.WaitGroup
-		for _, red := range reducers {
-			wg.Add(1)
-			go func(red *groupReducer) {
-				defer wg.Done()
-				red.err = red.finish()
-			}(red)
-		}
-		wg.Wait()
-		for _, red := range reducers {
-			if red.err != nil {
-				return nil, red.err
-			}
+	// Spill passes run per reducer, concurrently.
+	for _, red := range reducers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			red.err = red.finish()
+		}()
+	}
+	wg.Wait()
+	for _, red := range reducers {
+		if red.err != nil {
+			return nil, red.err
 		}
 	}
 
@@ -861,9 +830,9 @@ func (se *streamExec) runPartitionedGrouped(stmt *SelectStmt, chunks relChunks, 
 }
 
 // finishGroupedInMemory is the no-spill epilogue: merge the partitions'
-// groups into global first-seen order and run the exact serial finishing
+// groups into global first-seen order and run the row executor's finishing
 // phase (finishGrouped → DISTINCT → OFFSET/LIMIT → re-chunk), so output is
-// identical to the serial engine down to column types.
+// identical to the reference down to column types.
 func (se *streamExec) finishGroupedInMemory(stmt *SelectStmt, aggs []*AggCall, schema *rel, reducers []*groupReducer) (func() (*dataset.Table, error), error) {
 	idx := make([]int, len(reducers))
 	var order []finGroup
@@ -886,7 +855,7 @@ func (se *streamExec) finishGroupedInMemory(stmt *SelectStmt, aggs []*AggCall, s
 	if len(stmt.GroupBy) == 0 && len(order) == 0 {
 		// Aggregates over zero rows still produce one output group, with no
 		// representative row buffered.
-		g := newGState(0, len(aggs))
+		g := newGState(len(aggs))
 		order = append(order, finGroup{agg: finishAggValues(g, aggs)})
 	}
 	firstRows := &rel{cols: make([]*dataset.Column, len(schema.cols)), quals: schema.quals}
@@ -931,7 +900,7 @@ func (se *streamExec) finishGroupedInMemory(stmt *SelectStmt, aggs []*AggCall, s
 // finishGroupedSpilled is the out-of-core epilogue: stream the merged groups
 // in batches through HAVING and projection, sort externally when ORDER BY is
 // present, and emit fixed-size chunks so the chunk boundaries match the
-// serial engine's re-chunked output.
+// in-memory epilogue's re-chunked output.
 func (se *streamExec) finishGroupedSpilled(stmt *SelectStmt, aggs []*AggCall, schema *rel, reducers []*groupReducer) (func() (*dataset.Table, error), error) {
 	srcs := make([]*groupSource, len(reducers))
 	for p, red := range reducers {
@@ -1022,7 +991,7 @@ func (se *streamExec) finishGroupedSpilled(stmt *SelectStmt, aggs []*AggCall, sc
 	if len(stmt.OrderBy) > 0 {
 		// Feed every surviving group through the external sorter; batches
 		// arrive in first-seen order, so the stable merge reproduces the
-		// serial stable sort.
+		// reference's stable sort.
 		sorter := newExtSorter(se, "order-by", stmt.OrderBy)
 		seq := 0
 		for {
@@ -1068,7 +1037,7 @@ func (se *streamExec) finishGroupedSpilled(stmt *SelectStmt, aggs []*AggCall, sc
 	}
 
 	// Emit fixed-size chunks; guarantee one (possibly empty) chunk so the
-	// schema always reaches the consumer, like the serial re-chunker.
+	// schema always reaches the consumer, like rechunkTable.
 	emitted := false
 	finished := false
 	pull := func() (*dataset.Table, error) {
@@ -1098,7 +1067,7 @@ func (se *streamExec) finishGroupedSpilled(stmt *SelectStmt, aggs []*AggCall, sc
 		return buildValueChunk(names, nil, rows)
 	}
 	if stmt.Distinct {
-		pull = se.distinctPull(pull)
+		pull = se.parallelDistinctPull(pull)
 	}
 	if stmt.Offset > 0 || stmt.Limit >= 0 {
 		pull = offsetLimitPull(pull, stmt.Offset, stmt.Limit)

@@ -20,8 +20,8 @@ import (
 var errStreamClosed = errors.New("sql: stream closed")
 
 // parallelPipe fans pull() items out to `workers` goroutines running work()
-// and yields outputs in pull order. With workers <= 1 it degenerates to a
-// lock-free inline loop (no goroutines), which is the serial oracle path.
+// and yields outputs in pull order. With workers <= 1 it degenerates to an
+// inline loop on the consumer's goroutine (no goroutines, no prefetch).
 type parallelPipe[I, O any] struct {
 	pull    func() (I, bool, error)
 	work    func(item I, seq int) (O, error)

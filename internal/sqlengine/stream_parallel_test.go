@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"datachat/internal/dataset"
 )
@@ -27,9 +29,12 @@ func drainChunks(rs *RowStream) ([]*dataset.Table, error) {
 	}
 }
 
-// runParallelVsSerial pins the parallel dispatcher chunk-for-chunk against
-// the serial oracle: same chunk count, same rows per chunk, same values —
-// or both streams fail.
+// runParallelVsSerial pins a multi-worker stream chunk-for-chunk against the
+// one-worker stream of the same query: same chunk count, same rows per chunk,
+// same values — or both streams fail. Both runs use the same operators, so
+// this checks what the worker count changes (morsel reassembly, group-by
+// partitioning, DISTINCT sharding, spill races); the operators themselves
+// are pinned to the row executor by TestDifferentialStreamVsReference.
 func runParallelVsSerial(t *testing.T, catalog MapCatalog, query string, base StreamOptions, workers int) {
 	t.Helper()
 	serialOpts := base
@@ -71,8 +76,8 @@ func runParallelVsSerial(t *testing.T, catalog MapCatalog, query string, base St
 
 // TestDifferentialParallelVsSerial runs the randomized corpus through the
 // morsel dispatcher at several worker counts and pins every output chunk
-// against the serial pipeline — including tiny chunks (many fan-out rounds),
-// disabled kernels, and a forced mid-stream fallback.
+// against the one-worker pipeline — including tiny chunks (many fan-out
+// rounds), disabled kernels, and a forced mid-stream fallback.
 func TestDifferentialParallelVsSerial(t *testing.T) {
 	seeds := int64(4)
 	if testing.Short() {
@@ -115,6 +120,7 @@ func TestDifferentialForcedSpill(t *testing.T) {
 		"SELECT s, COUNT(*) AS c, SUM(f) AS sf FROM t1 GROUP BY s ORDER BY s",
 		"SELECT i, AVG(f) AS af, MIN(s) AS ms FROM t1 GROUP BY i",
 		"SELECT i, COUNT(*) AS c FROM t1 GROUP BY i HAVING COUNT(*) > 1 ORDER BY c DESC, i",
+		"SELECT DISTINCT s, COUNT(*) AS c FROM t1 GROUP BY i, s",
 	}
 	spilled := false
 	for _, q := range queries {
@@ -332,8 +338,8 @@ func TestStreamCloseReleasesSpillFiles(t *testing.T) {
 	assertNoSpillFiles(t, dir)
 }
 
-// TestParallelDistinctSharding pins the sharded DISTINCT against the serial
-// seen-set on a corpus slice with heavy duplication.
+// TestParallelDistinctSharding pins the sharded DISTINCT against its
+// one-shard run on a corpus slice with heavy duplication.
 func TestParallelDistinctSharding(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	catalog := NewMapCatalog(CorpusTables(rng, 900, 40))
@@ -344,6 +350,69 @@ func TestParallelDistinctSharding(t *testing.T) {
 	} {
 		for _, workers := range []int{2, 4, 8} {
 			runParallelVsSerial(t, catalog, q, StreamOptions{ChunkRows: 17}, workers)
+		}
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// base: a stream that leaves a pipeline worker, reducer or context watcher
+// running keeps the count above it. Exiting goroutines are not observable
+// directly, so the count is polled for a few seconds.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines still running, want at most %d:\n%s", runtime.NumGoroutine(), base, buf)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestStreamNoGoroutineLeak runs a grouped, a DISTINCT and an ORDER BY
+// stream at one and four workers and ends each one four ways — full drain,
+// Close after the first chunk, and context cancellation before and after the
+// first chunk — checking that every goroutine the stream started has exited.
+func TestStreamNoGoroutineLeak(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	catalog := NewMapCatalog(CorpusTables(rng, 3000, 10))
+	queries := []string{
+		"SELECT i, COUNT(*) AS c, SUM(f) AS sf FROM t1 GROUP BY i",
+		"SELECT DISTINCT i, s, b FROM t1",
+		"SELECT i, f FROM t1 ORDER BY f, i",
+	}
+	for _, q := range queries {
+		for _, workers := range []int{1, 4} {
+			for _, end := range []string{"drain", "close", "cancel-first", "cancel"} {
+				base := runtime.NumGoroutine()
+				ctx, cancel := context.WithCancel(context.Background())
+				rs, err := ExecStream(catalog, q, StreamOptions{ChunkRows: 64, Parallelism: workers, Ctx: ctx})
+				if err != nil {
+					t.Fatalf("%q (workers=%d): %v", q, workers, err)
+				}
+				if end == "cancel-first" {
+					cancel()
+				} else if _, err := rs.Next(); err != nil {
+					t.Fatalf("%q (workers=%d): first chunk: %v", q, workers, err)
+				}
+				switch end {
+				case "drain":
+					if _, err := drainChunks(rs); err != nil {
+						t.Fatalf("%q (workers=%d): drain: %v", q, workers, err)
+					}
+				case "close":
+					rs.Close()
+				case "cancel", "cancel-first":
+					cancel()
+					if _, err := drainChunks(rs); err != nil && !errors.Is(err, context.Canceled) {
+						t.Fatalf("%q (workers=%d, %s): error = %v, want context.Canceled", q, workers, end, err)
+					}
+				}
+				waitGoroutines(t, base)
+				cancel()
+			}
 		}
 	}
 }

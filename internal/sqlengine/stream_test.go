@@ -107,7 +107,9 @@ func TestStreamEmptyTables(t *testing.T) {
 
 // TestStreamFirstChunkIsIncremental checks the defining morsel property: a
 // streaming filter/projection emits its first chunk after scanning only a
-// prefix of the input, with no pipeline-breaker buffering at all.
+// prefix of the input, with no pipeline-breaker buffering at all, at every
+// worker count. Workers must report the count the pipeline ran on: an
+// early-stopping LIMIT runs on one worker whatever Parallelism asks for.
 func TestStreamFirstChunkIsIncremental(t *testing.T) {
 	const rows = 50_000
 	vals := make([]int64, rows)
@@ -117,27 +119,41 @@ func TestStreamFirstChunkIsIncremental(t *testing.T) {
 	catalog := NewMapCatalog(map[string]*dataset.Table{
 		"big": dataset.MustNewTable("big", dataset.IntColumn("n", vals, nil)),
 	})
-	rs, err := ExecStream(catalog, "SELECT n FROM big WHERE n >= 10", StreamOptions{ChunkRows: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunk, err := rs.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The first 100-row morsel loses its 10 filtered rows: the chunk arrives
-	// after scanning only a 100-row prefix of the 50k-row input.
-	if chunk == nil || chunk.NumRows() != 90 {
-		t.Fatalf("first chunk = %v, want 90 rows", chunk)
-	}
-	if got := chunk.Columns()[0].Value(0); got != dataset.Int(10) {
-		t.Fatalf("first row = %v, want 10", got)
-	}
-	if rs.PeakBufferedRows() != 0 {
-		t.Fatalf("streaming filter buffered %d rows; want 0", rs.PeakBufferedRows())
-	}
-	if rs.FellBack() {
-		t.Fatal("filter/projection should not fall back")
+	for _, tc := range []struct {
+		query       string
+		parallelism int
+		workers     int
+	}{
+		{"SELECT n FROM big WHERE n >= 10", 0, 1},
+		{"SELECT n FROM big WHERE n >= 10", 4, 4},
+		{"SELECT n FROM big WHERE n >= 10 LIMIT 500", 4, 1},
+	} {
+		rs, err := ExecStream(catalog, tc.query, StreamOptions{ChunkRows: 100, Parallelism: tc.parallelism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunk, err := rs.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first 100-row morsel loses its 10 filtered rows: the chunk
+		// arrives after scanning only a 100-row prefix of the 50k-row input.
+		if chunk == nil || chunk.NumRows() != 90 {
+			t.Fatalf("%q: first chunk = %v, want 90 rows", tc.query, chunk)
+		}
+		if got := chunk.Columns()[0].Value(0); got != dataset.Int(10) {
+			t.Fatalf("%q: first row = %v, want 10", tc.query, got)
+		}
+		if rs.PeakBufferedRows() != 0 {
+			t.Fatalf("%q: streaming filter buffered %d rows; want 0", tc.query, rs.PeakBufferedRows())
+		}
+		if rs.FellBack() {
+			t.Fatalf("%q: filter/projection should not fall back", tc.query)
+		}
+		if got := rs.Workers(); got != tc.workers {
+			t.Fatalf("%q at Parallelism %d: Workers() = %d, want %d", tc.query, tc.parallelism, got, tc.workers)
+		}
+		rs.Close()
 	}
 }
 
