@@ -6,15 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"datachat/internal/faults"
 	"datachat/internal/skills"
 )
 
 // TestHammerOneSessionThroughBusyRetries: N goroutines hammer a single
-// platform session with retry-on-contention enabled. Every request must
-// eventually win the §2.4 lock — no lost updates (the synchronized history
-// records all N), no deadlocks, and every output is materialized. All
-// backoff waiting happens on a virtual clock.
+// platform session with a lock wait set. Every request must win the §2.4
+// lock in turn — no lost updates (the synchronized history records all N),
+// no deadlocks, and every output is materialized.
 func TestHammerOneSessionThroughBusyRetries(t *testing.T) {
 	p := New()
 	s, err := p.CreateSession("hammer", "user")
@@ -22,9 +20,7 @@ func TestHammerOneSessionThroughBusyRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Context().Datasets["people"] = seedTable()
-	s.SetBusyRetry(faults.RetryPolicy{MaxAttempts: 1 << 20, BaseDelay: time.Millisecond,
-		MaxDelay: 4 * time.Millisecond, Multiplier: 2, JitterFrac: 0.3, Seed: 5},
-		faults.NewVirtualClock(time.Unix(0, 0)))
+	s.SetLockWait(time.Minute)
 
 	const n = 16
 	var wg sync.WaitGroup
@@ -42,7 +38,7 @@ func TestHammerOneSessionThroughBusyRetries(t *testing.T) {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("request %d lost despite retries: %v", i, err)
+			t.Fatalf("request %d lost despite the lock wait: %v", i, err)
 		}
 	}
 	hist := s.History()
@@ -59,5 +55,4 @@ func TestHammerOneSessionThroughBusyRetries(t *testing.T) {
 			t.Errorf("output out%d not materialized: %v", i, err)
 		}
 	}
-	t.Logf("%d requests serialized through %d busy retries", n, s.BusyRetries())
 }

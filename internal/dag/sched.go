@@ -382,7 +382,7 @@ func (e *Executor) executeTask(ctx context.Context, p *execPlan, t *task, deadli
 func (e *Executor) execTaskRetry(ctx context.Context, t *task, deadline time.Time) (*skills.Result, error) {
 	pol := e.Options.Retry
 	pol.Seed += int64(t.idx)
-	res, stats, err := faults.Do(ctx, e.Options.clock(), pol, deadline, nil,
+	res, stats, err := faults.Do(ctx, e.Options.clock(), pol, deadline,
 		func() (*skills.Result, error) { return e.execTaskBody(ctx, t) })
 	if stats.Attempts > 1 {
 		e.counters.retries.Add(int64(stats.Attempts - 1))

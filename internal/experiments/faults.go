@@ -82,7 +82,7 @@ func Faults(queryCount int, rates []float64, seed int64) (*FaultsResult, error) 
 		c := FaultsCase{Rate: rate, Queries: len(queries)}
 		start := time.Now()
 		for i := range queries {
-			got, stats, err := faults.Do(context.Background(), clock, pol, time.Time{}, nil,
+			got, stats, err := faults.Do(context.Background(), clock, pol, time.Time{},
 				func() (*dataset.Table, error) { return sqlengine.ExecStmt(catalog, stmts[i]) })
 			c.Retries += stats.Attempts - 1
 			if stats.Attempts > 1 {

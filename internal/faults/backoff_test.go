@@ -95,7 +95,7 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 6, BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second, Multiplier: 2, JitterFrac: 0.3, Seed: 7}
 	fails := 3
 	start := time.Now()
-	v, stats, err := Do(context.Background(), clock, p, time.Time{}, nil, func() (int, error) {
+	v, stats, err := Do(context.Background(), clock, p, time.Time{}, func() (int, error) {
 		if fails > 0 {
 			fails--
 			return 0, &Error{Op: "scan", Kind: Throttled, Class: Transient}
@@ -130,7 +130,7 @@ func TestDoDeadlineProperty(t *testing.T) {
 		budget := time.Duration(50+seed*13) * time.Millisecond
 		deadline := start.Add(budget)
 		p := RetryPolicy{MaxAttempts: 1000, BaseDelay: 5 * time.Millisecond, MaxDelay: 100 * time.Millisecond, Multiplier: 1.7, JitterFrac: 0.5, Seed: seed}
-		_, _, err := Do(context.Background(), clock, p, deadline, nil, func() (int, error) {
+		_, _, err := Do(context.Background(), clock, p, deadline, func() (int, error) {
 			return 0, &Error{Op: "scan", Kind: Throttled, Class: Transient}
 		})
 		if err == nil {
@@ -151,14 +151,14 @@ func TestDoNonRetryable(t *testing.T) {
 	clock := NewVirtualClock(time.Unix(0, 0))
 	p := RetryPolicy{MaxAttempts: 10}
 	perm := &Error{Op: "scan", Kind: Unavailable, Class: Permanent}
-	_, stats, err := Do(context.Background(), clock, p, time.Time{}, nil, func() (int, error) {
+	_, stats, err := Do(context.Background(), clock, p, time.Time{}, func() (int, error) {
 		return 0, perm
 	})
 	if !errors.Is(err, perm) || stats.Attempts != 1 {
 		t.Fatalf("permanent fault: err=%v attempts=%d", err, stats.Attempts)
 	}
 	plain := fmt.Errorf("no dataset named x")
-	_, stats, err = Do(context.Background(), clock, p, time.Time{}, nil, func() (int, error) {
+	_, stats, err = Do(context.Background(), clock, p, time.Time{}, func() (int, error) {
 		return 0, plain
 	})
 	if !errors.Is(err, plain) || stats.Attempts != 1 {
@@ -175,7 +175,7 @@ func TestDoExhaustion(t *testing.T) {
 	clock := NewVirtualClock(time.Unix(0, 0))
 	p := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond}
 	cause := &Error{Op: "scan", Kind: BlockIO, Class: Transient}
-	_, stats, err := Do(context.Background(), clock, p, time.Time{}, nil, func() (int, error) {
+	_, stats, err := Do(context.Background(), clock, p, time.Time{}, func() (int, error) {
 		return 0, cause
 	})
 	if stats.Attempts != 4 {
@@ -193,7 +193,7 @@ func TestDoExhaustion(t *testing.T) {
 // error comes back unwrapped.
 func TestDoZeroPolicyFailsFast(t *testing.T) {
 	cause := &Error{Op: "scan", Kind: Throttled, Class: Transient}
-	_, stats, err := Do(context.Background(), nil, RetryPolicy{}, time.Time{}, nil, func() (int, error) {
+	_, stats, err := Do(context.Background(), nil, RetryPolicy{}, time.Time{}, func() (int, error) {
 		return 0, cause
 	})
 	if stats.Attempts != 1 {
@@ -210,7 +210,7 @@ func TestDoContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := RetryPolicy{MaxAttempts: 1000, BaseDelay: time.Millisecond}
 	calls := 0
-	_, _, err := Do(ctx, clock, p, time.Time{}, nil, func() (int, error) {
+	_, _, err := Do(ctx, clock, p, time.Time{}, func() (int, error) {
 		calls++
 		if calls == 3 {
 			cancel()

@@ -71,7 +71,7 @@ func TestChaosCorpusExactUnderTransientFaults(t *testing.T) {
 				if err != nil {
 					t.Fatalf("parse %q: %v", q, err)
 				}
-				got, stats, err := Do(context.Background(), clock, pol, time.Time{}, nil,
+				got, stats, err := Do(context.Background(), clock, pol, time.Time{},
 					func() (*dataset.Table, error) { return sqlengine.ExecStmt(faulty, stmt) })
 				if stats.Attempts > 1 {
 					recovered++
@@ -135,7 +135,7 @@ func TestChaosCorpusConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(queries); i += workers {
-				got, _, err := Do(context.Background(), clock, pol, time.Time{}, nil,
+				got, _, err := Do(context.Background(), clock, pol, time.Time{},
 					func() (*dataset.Table, error) { return sqlengine.ExecStmt(faulty, stmts[i]) })
 				if (err == nil) != (cleanErr[i] == nil) {
 					errs[i] = fmt.Errorf("error divergence for %q: faulty=%v clean=%v", queries[i], err, cleanErr[i])

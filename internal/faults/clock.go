@@ -73,9 +73,8 @@ func (c *VirtualClock) Advance(d time.Duration) {
 }
 
 // Sleep advances virtual time by d without blocking. It yields the
-// processor so spinning retry loops (e.g. session-lock contention with
-// instant virtual backoff) cannot starve the goroutine holding the
-// contended resource.
+// processor so a loop that sleeps on the virtual clock (a retry backoff, or
+// Scheduler.Loop between ticks) cannot starve the goroutines it waits on.
 func (c *VirtualClock) Sleep(ctx context.Context, d time.Duration) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -127,22 +127,19 @@ type RetryStats struct {
 	Backoff time.Duration
 }
 
-// Do runs fn under the retry policy. Errors for which retryable returns
-// false — permanent faults, plain execution errors — return immediately;
-// retryable errors are retried after a backoff drawn from the policy, up to
-// MaxAttempts. A non-zero deadline bounds the total schedule: a backoff that
-// would cross it is not taken and the last error is returned wrapped in a
-// deadline note. Cancelling ctx aborts a pending backoff.
+// Do runs fn under the retry policy. Errors that are not transient (see
+// IsTransient) — permanent faults, plain execution errors — return
+// immediately; transient errors are retried after a backoff drawn from the
+// policy, up to MaxAttempts. A non-zero deadline bounds the total schedule:
+// a backoff that would cross it is not taken and the last error is returned
+// wrapped in a deadline note. Cancelling ctx aborts a pending backoff.
 //
-// retryable nil defaults to IsTransient; clock nil defaults to Real().
+// clock nil defaults to Real().
 func Do[T any](ctx context.Context, clock Clock, p RetryPolicy, deadline time.Time,
-	retryable func(error) bool, fn func() (T, error)) (T, RetryStats, error) {
+	fn func() (T, error)) (T, RetryStats, error) {
 	var zero T
 	if clock == nil {
 		clock = Real()
-	}
-	if retryable == nil {
-		retryable = IsTransient
 	}
 	stats := RetryStats{}
 	rng := rand.New(rand.NewSource(p.Seed))
@@ -155,7 +152,7 @@ func Do[T any](ctx context.Context, clock Clock, p RetryPolicy, deadline time.Ti
 		if err == nil {
 			return res, stats, nil
 		}
-		if !retryable(err) {
+		if !IsTransient(err) {
 			return zero, stats, err
 		}
 		if stats.Attempts >= p.MaxAttempts {

@@ -8,8 +8,8 @@
 // unchanged sub-DAGs are served from cache with zero cloud scans; only
 // changed inputs recompute. Background runs yield to interactive traffic
 // twice over: an admission Gate (installed by the server) queues them
-// behind the interactive class, and a small bounded busy-retry on the
-// §2.4 session lock makes a contended run skip rather than camp.
+// behind the interactive class, and a short bounded wait on the §2.4
+// session lock makes a contended run skip rather than camp.
 package scheduler
 
 import (
@@ -30,6 +30,11 @@ import (
 
 // historyCap bounds each job's retained run records.
 const historyCap = 32
+
+// defaultLockWait is how long a run waits for its session's §2.4 lock
+// before skipping: background refreshes must never camp on a lock an
+// interactive user wants.
+const defaultLockWait = 30 * time.Millisecond
 
 // Spec declares one scheduled job.
 type Spec struct {
@@ -131,11 +136,15 @@ type Scheduler struct {
 	platform *core.Platform
 	hub      *board.Hub
 
-	mu        sync.Mutex
-	clock     faults.Clock
-	jobs      map[string]*job
-	gate      Gate
-	busyRetry faults.RetryPolicy
+	// lockWait is always defaultLockWait outside tests. It is a field only
+	// as a test seam: a test that must see a run wait out a release widens
+	// it before any run starts, so it is read without mu.
+	lockWait time.Duration
+
+	mu    sync.Mutex
+	clock faults.Clock
+	jobs  map[string]*job
+	gate  Gate
 
 	runs, failures, skips, degraded          int64
 	nodesTotal, nodesChanged, nodesUnchanged int64
@@ -150,9 +159,7 @@ func New(p *core.Platform, hub *board.Hub) *Scheduler {
 		hub:      hub,
 		clock:    faults.Real(),
 		jobs:     make(map[string]*job),
-		// Three quick attempts at the session lock, then skip: background
-		// refreshes must never camp on a lock an interactive user wants.
-		busyRetry: faults.RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond, Multiplier: 2},
+		lockWait: defaultLockWait,
 	}
 }
 
@@ -171,14 +178,6 @@ func (s *Scheduler) SetClock(c faults.Clock) {
 func (s *Scheduler) SetGate(g Gate) {
 	s.mu.Lock()
 	s.gate = g
-	s.mu.Unlock()
-}
-
-// SetBusyRetry replaces the bounded busy-retry policy runs use on the
-// §2.4 session lock.
-func (s *Scheduler) SetBusyRetry(p faults.RetryPolicy) {
-	s.mu.Lock()
-	s.busyRetry = p
 	s.mu.Unlock()
 }
 
@@ -366,7 +365,7 @@ func (s *Scheduler) Loop(ctx context.Context, poll time.Duration) {
 // history entries and board updates, not crashes of the trigger loop.
 func (s *Scheduler) runJob(ctx context.Context, j *job) RunRecord {
 	s.mu.Lock()
-	clock, gate, busy := s.clock, s.gate, s.busyRetry
+	clock, gate := s.clock, s.gate
 	s.mu.Unlock()
 
 	start := clock.Now()
@@ -386,7 +385,7 @@ func (s *Scheduler) runJob(ctx context.Context, j *job) RunRecord {
 		rec.Err = err.Error()
 		return s.finishRun(j, rec, nil, clock, start)
 	}
-	tune := &session.Tuning{BusyRetry: busy, Clock: clock}
+	tune := &session.Tuning{LockWait: s.lockWait, Clock: clock}
 	res, exp, delta, err := sess.ReplayRecipePlanned(ctx, j.spec.User, j.spec.Recipe, tune)
 	rec.Stats = delta
 	if exp != nil {

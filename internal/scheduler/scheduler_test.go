@@ -14,6 +14,7 @@ import (
 	"datachat/internal/dag"
 	"datachat/internal/dataset"
 	"datachat/internal/faults"
+	"datachat/internal/leaktest"
 	"datachat/internal/recipe"
 	"datachat/internal/skills"
 )
@@ -282,5 +283,121 @@ func TestLoopOnVirtualClock(t *testing.T) {
 	<-done
 	if info, _ := s.Get("loop"); info.Runs != 3 {
 		t.Fatalf("runs = %d; want 3", info.Runs)
+	}
+}
+
+// holdJobSession runs a request on the job's session that holds its §2.4
+// lock until release is closed; it returns once the lock is held, and the
+// request's error arrives on the returned channel.
+func holdJobSession(t *testing.T, p *core.Platform, session string, release <-chan struct{}) <-chan error {
+	t.Helper()
+	started := make(chan struct{})
+	err := p.Registry.Register(&skills.Definition{
+		Name: "Block", Summary: "test skill: block until released", Volatile: true,
+		Apply: func(ctx *skills.Context, inv skills.Invocation) (*skills.Result, error) {
+			close(started)
+			<-release
+			tab, err := dataset.NewTable(inv.Output, dataset.IntColumn("ok", []int64{1}, nil))
+			if err != nil {
+				return nil, err
+			}
+			return &skills.Result{Table: tab}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := p.EnsureSession(session, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := sess.Request("alice", skills.Invocation{Skill: "Block", Output: "hold"})
+		done <- err
+	}()
+	<-started
+	return done
+}
+
+// TestRunWaitsForReleasedSessionLock: a run that finds an interactive
+// request holding its session waits, and completes and publishes once the
+// request releases the lock within the wait. The wait is widened from
+// defaultLockWait through the lockWait test seam, so the outcome does not
+// depend on how quickly the holder is scheduled after the release.
+func TestRunWaitsForReleasedSessionLock(t *testing.T) {
+	p, _, hub, s, _ := newTestRig(t)
+	s.lockWait = time.Minute
+	if _, err := s.Add(Spec{Name: "j", User: "alice", Recipe: metricsRecipe(t), Every: time.Second, Board: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	holder := holdJobSession(t, p, "sched:j", release)
+
+	type result struct {
+		rec RunRecord
+		err error
+	}
+	ran := make(chan result, 1)
+	go func() {
+		rec, err := s.RunNow(context.Background(), "j")
+		ran <- result{rec, err}
+	}()
+	leaktest.WaitBlocked(t, "session.(*Session).lockForUser", 1)
+	close(release)
+	if err := <-holder; err != nil {
+		t.Fatalf("interactive request: %v", err)
+	}
+	r := <-ran
+	if r.err != nil || r.rec.Skipped || r.rec.Err != "" {
+		t.Fatalf("run after release = %+v, %v; want a completed run", r.rec, r.err)
+	}
+	if r.rec.BoardVersion == 0 {
+		t.Fatal("completed run published no board version")
+	}
+	if b, ok := hub.Get("b"); !ok || b.Snapshot().Version != r.rec.BoardVersion {
+		t.Fatalf("board missing or behind the run's version %d", r.rec.BoardVersion)
+	}
+	if st := s.Stats(); st.Runs != 1 || st.Skips != 0 || st.Published != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestRunSkipsWhenSessionStaysBusy: a run whose session stays held past
+// defaultLockWait is recorded as a "session busy" skip — no run counted and
+// no board version published.
+func TestRunSkipsWhenSessionStaysBusy(t *testing.T) {
+	p, _, hub, s, _ := newTestRig(t)
+	if _, err := s.Add(Spec{Name: "j", User: "alice", Recipe: metricsRecipe(t), Every: time.Second, Board: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	holder := holdJobSession(t, p, "sched:j", release)
+
+	start := time.Now()
+	rec, err := s.RunNow(context.Background(), "j")
+	waited := time.Since(start)
+	close(release)
+	if err := <-holder; err != nil {
+		t.Fatalf("interactive request: %v", err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Skipped || rec.SkipReason != "session busy" || rec.BoardVersion != 0 {
+		t.Fatalf("run against a held session = %+v; want a session-busy skip", rec)
+	}
+	if waited < defaultLockWait {
+		t.Errorf("skipped after %v, before the %v lock wait", waited, defaultLockWait)
+	}
+	info, _ := s.Get("j")
+	if info.Runs != 0 || len(info.History) != 1 {
+		t.Fatalf("job after skip = %+v", info)
+	}
+	if _, ok := hub.Get("b"); ok {
+		t.Fatal("a skipped run created or published to the board")
+	}
+	if st := s.Stats(); st.Runs != 0 || st.Skips != 1 || st.Published != 0 {
+		t.Fatalf("stats = %+v", st)
 	}
 }

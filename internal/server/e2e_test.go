@@ -297,19 +297,14 @@ func TestConcurrentClientsSerializeOr409(t *testing.T) {
 	}
 }
 
-// TestBusyRetryAbsorbsContention opts server-created sessions into §2.4
-// bounded busy-retry under a virtual clock: every concurrent client succeeds
-// and no 409 ever reaches the wire, without a single real sleep.
+// TestBusyRetryAbsorbsContention opts server-created sessions into a §2.4
+// lock wait: every concurrent client succeeds, served in turn as the lock is
+// handed on, and no 409 ever reaches the wire.
 func TestBusyRetryAbsorbsContention(t *testing.T) {
-	vc := faults.NewVirtualClock(time.Unix(0, 0))
 	srv, c := newTestDeployment(t, server.Config{
 		MaxInFlight: 16,
 		MaxQueue:    32,
-		Clock:       vc,
-		BusyRetry: faults.RetryPolicy{
-			MaxAttempts: 500, BaseDelay: time.Millisecond,
-			MaxDelay: 4 * time.Millisecond, Multiplier: 2,
-		},
+		LockWait:    time.Minute,
 	})
 	ctx := context.Background()
 	if err := c.RegisterFile(ctx, "sales.csv", salesCSV); err != nil {
@@ -342,10 +337,7 @@ func TestBusyRetryAbsorbsContention(t *testing.T) {
 		}
 	}
 	if got := srv.Stats().Busy409; got != 0 {
-		t.Fatalf("busy 409s = %d, want 0 (absorbed by busy-retry)", got)
-	}
-	if vc.Slept() == 0 {
-		t.Log("note: no backoff was needed (lock never contended)")
+		t.Fatalf("busy 409s = %d, want 0 (absorbed by the lock wait)", got)
 	}
 }
 

@@ -170,11 +170,9 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	// Sessions created over the wire inherit the server's busy-retry
-	// policy, so §2.4 contention is absorbed server-side before any 409.
-	if s.cfg.BusyRetry.Enabled() {
-		sess.SetBusyRetry(s.cfg.BusyRetry, s.cfg.Clock)
-	}
+	// Sessions created over the wire inherit the server's lock wait, so
+	// §2.4 contention is absorbed server-side before any 409.
+	sess.SetLockWait(s.cfg.LockWait)
 	writeJSON(w, http.StatusCreated, s.sessionInfo(sess))
 }
 

@@ -51,12 +51,12 @@ type Config struct {
 	// Retry is the transient-failure retry policy applied to every remote
 	// execution (the zero policy fails fast).
 	Retry faults.RetryPolicy
-	// BusyRetry, when enabled, is applied to sessions created through the
-	// server: requests hitting the §2.4 lock retry with bounded backoff
-	// server-side instead of failing straight to 409.
-	BusyRetry faults.RetryPolicy
-	// Clock drives deadlines, retry backoff, and busy-retry backoff; nil
-	// means the wall clock. Tests install a faults.VirtualClock.
+	// LockWait, when > 0, is applied to sessions created through the
+	// server: requests hitting the §2.4 lock wait up to this long for it,
+	// first come first served, instead of failing straight to 409.
+	LockWait time.Duration
+	// Clock drives deadlines and retry backoff; nil means the wall clock.
+	// Tests install a faults.VirtualClock.
 	Clock faults.Clock
 	// DefaultMaxRows caps rows inlined in run/artifact responses when the
 	// request does not say (<= 0 means 100); MaxPageRows caps page and

@@ -44,17 +44,18 @@ type Session struct {
 	executor *dag.Executor
 	graph    *dag.Graph
 
+	// lock is the §2.4 session lock: held while its one slot is full.
+	// Blocked senders are served in arrival order, so requests waiting for
+	// it are handed the lock first come, first served as it is released.
+	lock chan struct{}
+
 	mu      sync.Mutex
-	running bool
 	members map[string]artifact.Access
 	history []HistoryEntry
-
-	// busyRetry optionally retries lock acquisition on ErrBusy with
-	// backoff. The zero policy keeps the paper's fail-fast semantics:
-	// the second concurrent request loses immediately.
-	busyRetry   faults.RetryPolicy
-	busyClock   faults.Clock
-	busyRetries int
+	// lockWait is how long a request waits for a held lock before failing
+	// with ErrBusy. 0 keeps the paper's fail-fast semantics: the second
+	// concurrent request loses immediately.
+	lockWait time.Duration
 }
 
 // HistoryEntry records one executed request, so every member sees the same
@@ -76,6 +77,7 @@ func New(name, owner string, reg *skills.Registry, ctx *skills.Context) *Session
 		reg:      reg,
 		executor: dag.NewExecutor(reg, ctx),
 		graph:    dag.NewGraph(),
+		lock:     make(chan struct{}, 1),
 		members:  map[string]artifact.Access{owner: artifact.OwnerAccess},
 	}
 }
@@ -137,88 +139,76 @@ func (s *Session) Members() []string {
 	return out
 }
 
-// SetBusyRetry opts the session into bounded retry-with-backoff on
-// lock contention: a request that finds another one running retries up to
-// the policy's attempt budget instead of failing immediately. The zero
-// policy (the default) preserves the paper's §2.4 fail-fast semantics.
-// clock may be nil (wall clock); tests pass a virtual clock.
-func (s *Session) SetBusyRetry(p faults.RetryPolicy, clock faults.Clock) {
+// SetLockWait opts the session into waiting on lock contention: a request
+// that finds another one running queues for up to d, first come first
+// served, instead of failing immediately. 0 (the default) preserves the
+// paper's §2.4 fail-fast semantics.
+func (s *Session) SetLockWait(d time.Duration) {
 	s.mu.Lock()
-	s.busyRetry = p
-	s.busyClock = clock
+	s.lockWait = d
 	s.mu.Unlock()
 }
 
-// BusyRetries reports how many times requests re-attempted the session lock
-// after finding it held.
-func (s *Session) BusyRetries() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.busyRetries
-}
-
-// acquire takes the session lock for user, or fails with ErrBusy (retryable)
-// or a permission error (not).
-func (s *Session) acquire(user string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.members[user] < artifact.EditAccess {
+// checkEdit fails unless user may run requests in the session.
+func (s *Session) checkEdit(user string) error {
+	if s.AccessOf(user) < artifact.EditAccess {
 		return fmt.Errorf("session: %s cannot run requests in %q", user, s.Name)
 	}
-	if s.running {
-		return ErrBusy
-	}
-	s.running = true
 	return nil
 }
 
-// lockForUser acquires the §2.4 session lock for user, applying the
-// session's busy-retry policy (the zero policy fails fast with ErrBusy).
-// Every operation that executes on the session's executor — requests,
-// artifact saves, recipe replays — funnels through here, so executor state
-// is never touched by two operations at once. Callers must pair it with
-// unlock.
-func (s *Session) lockForUser(ctx context.Context, user string) error {
-	return s.lockWithTuning(ctx, user, nil)
-}
-
-// lockWithTuning is lockForUser with an optional per-call busy-retry
-// override: a tuning whose BusyRetry is enabled replaces the session's
-// standing policy for this acquisition only. Background scheduled runs use
-// a small bounded policy here so they yield the §2.4 lock to interactive
-// requests instead of camping on it.
-func (s *Session) lockWithTuning(ctx context.Context, user string, tune *Tuning) error {
-	s.mu.Lock()
-	pol, clock := s.busyRetry, s.busyClock
-	s.mu.Unlock()
-	if tune != nil && tune.BusyRetry.Enabled() {
-		pol = tune.BusyRetry
-		if tune.Clock != nil {
-			clock = tune.Clock
-		}
+// lockForUser acquires the §2.4 session lock for user. A held lock fails
+// with ErrBusy at once, or after waiting up to wait (the session's standing
+// lock wait when wait is 0); a done ctx fails the call with its error,
+// before acquiring or while waiting. A
+// permission error is returned before any waiting, and membership is
+// checked again once the lock is handed over, so a user revoked while
+// queued is refused and the lock passes on to the next waiter. Every
+// operation that executes on the session's executor — requests, artifact
+// saves, recipe replays — funnels through here, so executor state is never
+// touched by two operations at once. Callers must pair it with unlock.
+func (s *Session) lockForUser(ctx context.Context, user string, wait time.Duration) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	_, stats, err := faults.Do(ctx, clock, pol, time.Time{},
-		func(err error) bool { return errors.Is(err, ErrBusy) },
-		func() (struct{}, error) { return struct{}{}, s.acquire(user) })
-	if stats.Attempts > 1 {
+	if err := s.checkEdit(user); err != nil {
+		return err
+	}
+	if wait <= 0 {
 		s.mu.Lock()
-		s.busyRetries += stats.Attempts - 1
+		wait = s.lockWait
 		s.mu.Unlock()
 	}
-	return err
+	select {
+	case s.lock <- struct{}{}:
+	default:
+		if wait <= 0 {
+			return ErrBusy
+		}
+		timer := time.NewTimer(wait)
+		defer timer.Stop()
+		select {
+		case s.lock <- struct{}{}:
+		case <-timer.C:
+			return ErrBusy
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	if err := s.checkEdit(user); err != nil {
+		s.unlock()
+		return err
+	}
+	return nil
 }
 
-func (s *Session) unlock() {
-	s.mu.Lock()
-	s.running = false
-	s.mu.Unlock()
-}
+func (s *Session) unlock() { <-s.lock }
 
 // Request executes one skill invocation for user. It enforces membership
 // (edit access) and the session-level lock: if another request is running,
 // it fails immediately with ErrBusy rather than queueing, because a request
 // composed against a stale view may no longer make sense (§2.4) — unless
-// SetBusyRetry opted the session into a bounded backoff on contention.
+// SetLockWait opted the session into a bounded wait on contention.
 func (s *Session) Request(user string, inv skills.Invocation) (*skills.Result, dag.NodeID, error) {
 	res, ids, err := s.RequestProgram(user, inv)
 	if len(ids) == 0 {
@@ -266,17 +256,25 @@ type Tuning struct {
 	// after the run (estimation must be enabled on the executor; the
 	// callback is skipped when no estimate was produced).
 	PlanCost func(plan.PlanCost)
-	// BusyRetry, when enabled, overrides the session's standing busy-retry
-	// policy for this call's §2.4 lock acquisition only; backoff runs on
-	// Clock when set. Background scheduled refreshes use a small bounded
-	// policy so a held lock makes them skip, not queue indefinitely.
-	BusyRetry faults.RetryPolicy
+	// LockWait, when > 0, overrides the session's standing lock wait for
+	// this call's §2.4 lock acquisition only. Background scheduled refreshes
+	// use a short wait so a held lock makes them skip, not queue
+	// indefinitely.
+	LockWait time.Duration
+}
+
+// lockWait is the tuning's lock-wait override; a nil tuning has none.
+func (t *Tuning) lockWait() time.Duration {
+	if t == nil {
+		return 0
+	}
+	return t.LockWait
 }
 
 // applyTuningLocked applies tune to the executor and returns a restore
 // function that fires the post-run callbacks (StreamStats delta, PlanCost)
 // and reinstates the standing options. Both this call and the returned
-// function must run while the session's running flag is held: the §2.4
+// function must run while the session lock is held: the §2.4
 // lock guarantees no other execution reads the options concurrently.
 func (s *Session) applyTuningLocked(tune *Tuning) func() {
 	if tune == nil {
@@ -348,15 +346,15 @@ func (s *Session) RequestProgram(user string, invs ...skills.Invocation) (*skill
 }
 
 // RequestProgramCtx is RequestProgram with an explicit context and optional
-// per-request tuning. Cancelling ctx aborts busy-retry backoffs on the
-// session lock and the execution's own retry backoffs; tune (may be nil)
+// per-request tuning. Cancelling ctx ends a wait for the session lock and
+// the execution's own retry backoffs; tune (may be nil)
 // overrides the executor's deadline, retry policy, and clock for this
 // request only, restored before the lock is released.
 func (s *Session) RequestProgramCtx(ctx context.Context, user string, tune *Tuning, invs ...skills.Invocation) (*skills.Result, []dag.NodeID, error) {
 	if len(invs) == 0 {
 		return nil, nil, fmt.Errorf("session: empty program")
 	}
-	if err := s.lockWithTuning(ctx, user, tune); err != nil {
+	if err := s.lockForUser(ctx, user, tune.lockWait()); err != nil {
 		return nil, nil, err
 	}
 	defer s.unlock()
@@ -418,7 +416,7 @@ func (s *Session) History() []HistoryEntry {
 // data is re-read). Funneling replays through the lock keeps them from
 // racing concurrent requests on the same executor.
 func (s *Session) ReplayRecipe(ctx context.Context, user string, r *recipe.Recipe, invalidate bool) (*skills.Result, error) {
-	if err := s.lockForUser(ctx, user); err != nil {
+	if err := s.lockForUser(ctx, user, 0); err != nil {
 		return nil, err
 	}
 	defer s.unlock()
@@ -426,7 +424,7 @@ func (s *Session) ReplayRecipe(ctx context.Context, user string, r *recipe.Recip
 }
 
 // ReplayRecipePlanned is the scheduler's incremental-refresh entry point.
-// Under ONE acquisition of the §2.4 lock (honoring tune.BusyRetry, so a
+// Under ONE acquisition of the §2.4 lock (honoring tune.LockWait, so a
 // busy session makes a background run skip rather than queue) it first
 // EXPLAINs the recipe's plan — read-only, zero execution; the per-node
 // Cached flags show which sub-DAGs the coming replay will serve from cache
@@ -436,7 +434,7 @@ func (s *Session) ReplayRecipe(ctx context.Context, user string, r *recipe.Recip
 // returns the result, the pre-run explain (for fingerprint diffing against
 // the previous run), and this call's execution-stats delta.
 func (s *Session) ReplayRecipePlanned(ctx context.Context, user string, r *recipe.Recipe, tune *Tuning) (*skills.Result, *plan.Explain, dag.Stats, error) {
-	if err := s.lockWithTuning(ctx, user, tune); err != nil {
+	if err := s.lockForUser(ctx, user, tune.lockWait()); err != nil {
 		return nil, nil, dag.Stats{}, err
 	}
 	defer s.unlock()
@@ -495,7 +493,7 @@ func (s *Session) SaveArtifact(store *artifact.Store, user, name string, node da
 	if s.AccessOf(user) < artifact.EditAccess {
 		return nil, fmt.Errorf("session: %s cannot save artifacts from %q", user, s.Name)
 	}
-	if err := s.lockForUser(context.Background(), user); err != nil {
+	if err := s.lockForUser(context.Background(), user, 0); err != nil {
 		return nil, err
 	}
 	defer s.unlock()
@@ -511,7 +509,7 @@ func (s *Session) SaveArtifactOutput(store *artifact.Store, user, name, output s
 	if s.AccessOf(user) < artifact.EditAccess {
 		return nil, fmt.Errorf("session: %s cannot save artifacts from %q", user, s.Name)
 	}
-	if err := s.lockForUser(context.Background(), user); err != nil {
+	if err := s.lockForUser(context.Background(), user, 0); err != nil {
 		return nil, err
 	}
 	defer s.unlock()

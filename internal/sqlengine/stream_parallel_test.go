@@ -9,9 +9,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
-	"time"
 
 	"datachat/internal/dataset"
+	"datachat/internal/leaktest"
 )
 
 // drainChunks pulls every chunk off a stream, preserving chunk boundaries.
@@ -354,23 +354,6 @@ func TestParallelDistinctSharding(t *testing.T) {
 	}
 }
 
-// waitGoroutines fails the test unless the goroutine count falls back to
-// base: a stream that leaves a pipeline worker, reducer or context watcher
-// running keeps the count above it. Exiting goroutines are not observable
-// directly, so the count is polled for a few seconds.
-func waitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("%d goroutines still running, want at most %d:\n%s", runtime.NumGoroutine(), base, buf)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestStreamNoGoroutineLeak runs a grouped, a DISTINCT and an ORDER BY
 // stream at one and four workers and ends each one four ways — full drain,
 // Close after the first chunk, and context cancellation before and after the
@@ -410,7 +393,7 @@ func TestStreamNoGoroutineLeak(t *testing.T) {
 						t.Fatalf("%q (workers=%d, %s): error = %v, want context.Canceled", q, workers, end, err)
 					}
 				}
-				waitGoroutines(t, base)
+				leaktest.Settle(t, base)
 				cancel()
 			}
 		}
